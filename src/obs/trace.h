@@ -41,12 +41,25 @@
 
 namespace pade::obs {
 
-/** One named integer attached to a span or instant event. */
+/** One named integer (or, with `text`, string) attached to a span
+ *  or instant event. */
 struct TraceArg
 {
-    const char *key; //!< string literal; stored by pointer
-    int64_t value;
+    const char *key = nullptr; //!< string literal; stored by pointer
+    int64_t value = 0;
+    /** Non-null: the argument is this string literal, not value. */
+    const char *text = nullptr;
 };
+
+/** A string-valued TraceArg; @p text must be a string literal. */
+constexpr TraceArg
+traceText(const char *key, const char *text)
+{
+    return TraceArg{key, 0, text};
+}
+
+/** Arguments one event keeps; extra ones are dropped. */
+inline constexpr int kMaxTraceArgs = 4;
 
 namespace detail {
 
@@ -147,7 +160,7 @@ class ScopedSpan
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
   private:
-    static constexpr int kMaxArgs = 2;
+    static constexpr int kMaxArgs = kMaxTraceArgs;
 
     const char *name_ = nullptr; //!< null => disabled at entry
     int64_t start_ns_ = 0;

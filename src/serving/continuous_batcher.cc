@@ -170,7 +170,7 @@ struct RoundAccounting
 /**
  * Unit 1 of every session: materialize its whole-model workload
  * (static quantization scales, prefix-pure rows; see ModelWorkload)
- * and pipelined engine, then adopt any prefix pages an earlier
+ * and engine, then adopt any prefix pages an earlier
  * session already published. Runs on a pool worker in both
  * scheduling modes; touches only the session and the (internally
  * mutex'd) prefix index.
@@ -343,8 +343,8 @@ stepSession(Session &s, const BatcherOptions &opt, ThreadPool *pool,
             {{"request", static_cast<int64_t>(s.index)},
              {"pos", s.prefilled}});
         // Unit 2..k: one prefill chunk — feed the chunk's positions
-        // into the pipeline and drain it: appends and guarded causal
-        // scoring of up to `layers` positions overlap on the pool,
+        // and drain the engine: per layer, one append step, then the
+        // chunk's KV-head x query-tile scoring units on the pool,
         // bit-identical to the serial layer loop for any chunking
         // (tile-by-tile over the ISTA order of the full prompt).
         const int n = feedRoundPositions(s, opt);
@@ -376,6 +376,7 @@ struct WaveMetrics
 {
     obs::Counter &rounds;
     obs::Counter &units;
+    obs::Counter &unit_busy_us;
     obs::Counter &round_capacity_us;
 
     static WaveMetrics &
@@ -384,6 +385,7 @@ struct WaveMetrics
         static WaveMetrics m{
             obs::Registry::instance().counter("model.rounds"),
             obs::Registry::instance().counter("model.units"),
+            obs::Registry::instance().counter("model.unit_busy_us"),
             obs::Registry::instance().counter(
                 "model.round_capacity_us"),
         };
@@ -395,19 +397,20 @@ struct WaveMetrics
  * One co-scheduled batcher round: the same session-level schedule as
  * the per-session path — every active session advances by exactly one
  * unit (materialize, prefill chunk, or decode token) — but the engine
- * work is executed as global WAVES. Each wave opens one pipeline
- * round per engine with pending work (ModelEngine::collectUnits) and
+ * work is executed as global WAVES. Each wave opens one engine step
+ * per engine with pending work (ModelEngine::collectUnits) and
  * runs the union of all their units through a single pool-wide
  * parallelFor; waves repeat until every engine has drained, exactly
  * like per-session drain() loops advance().
  *
  * Bit-identity with per-session scheduling, for any thread/slot
- * count: each engine sees exactly the round sequence its own drain()
- * would run (collectUnits admits identically, completeRound retires
- * identically, in feed order); units of one engine's round touch
- * disjoint layers (the PR 7 argument) and units of distinct sessions
- * touch disjoint sessions — so the flat wave list has no two units
- * sharing mutable state, and execution order cannot matter. All
+ * count: each engine sees exactly the step sequence its own drain()
+ * would run (collectUnits opens chunks identically, completeRound
+ * retires identically, in feed order); units of one engine's step
+ * touch disjoint state (serving/model_engine.h) and units of distinct
+ * sessions touch disjoint sessions — prefix pages they share are
+ * immutable — so the flat wave list has no two units sharing mutable
+ * state, and execution order cannot matter. All
  * post-unit bookkeeping (prefilled/decoded advance, prefix publish,
  * byte folding) happens on the scheduler thread at the same schedule
  * points the per-session path reaches them.
@@ -441,7 +444,7 @@ coscheduleRound(std::vector<std::unique_ptr<Session>> &active,
 {
     // Plan on the scheduler thread: fresh sessions owe a materialize
     // unit; resident sessions feed this round's positions (cheap
-    // queue pushes) and owe pipeline units to the waves below.
+    // queue pushes) and owe engine units to the waves below.
     using RoundPlan = CoscheduleScratch::RoundPlan;
     using UnitRef = CoscheduleScratch::UnitRef;
     std::vector<Session *> &fresh = scratch.fresh;
@@ -459,20 +462,26 @@ coscheduleRound(std::vector<std::unique_ptr<Session>> &active,
         plans.push_back(RoundPlan{&s, feedRoundPositions(s, opt)});
     }
 
-    // Materialize the round's fresh sessions in one fan-out. Workload
-    // generation is not pipeline work, so it stays outside the wave
-    // loop and its capacity accounting — as in per-session mode.
-    if (!fresh.empty()) {
-        const auto mat = [&](int i) {
-            materializeSession(*fresh[static_cast<std::size_t>(i)],
-                               opt, index);
-        };
-        if (pool.threadCount() > 1 && fresh.size() > 1)
-            parallelFor(pool, static_cast<int>(fresh.size()), mat);
-        else
-            for (std::size_t i = 0; i < fresh.size(); i++)
-                mat(static_cast<int>(i));
-    }
+    // Fresh sessions materialize in the first wave, beside the
+    // resident sessions' units: materialization touches only its own
+    // session and the (mutex'd) prefix index, whose publishes happen
+    // after the waves, so it shares no mutable state with any unit.
+    // Run apart, a lone materialization (the common closed-loop case:
+    // one session left, one arrives) would hold every other lane idle.
+    const auto materializeInWave = [&](std::size_t i) {
+        if constexpr (obs::kTelemetryEnabled) {
+            const auto t0 = std::chrono::steady_clock::now();
+            materializeSession(*fresh[i], opt, index);
+            // A lane materializing is a busy lane of the wave.
+            WaveMetrics::get().unit_busy_us.add(static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count()));
+        } else {
+            materializeSession(*fresh[i], opt, index);
+        }
+    };
+    std::size_t unmaterialized = fresh.size();
 
     // The waves. Per iteration: open one round per engine with
     // pending work, run every collected unit in one parallelFor, then
@@ -492,17 +501,34 @@ coscheduleRound(std::vector<std::unique_ptr<Session>> &active,
             for (int u = 0; u < n; u++)
                 units.push_back(UnitRef{&e, u});
         }
-        const int total = static_cast<int>(units.size());
+        const int engine_units = static_cast<int>(units.size());
+        const int total =
+            engine_units + static_cast<int>(unmaterialized);
+        unmaterialized = 0;
         if (total == 0)
             break;
+        if (engine_units == 0) {
+            // Only fresh sessions: no engine step, no wave to account.
+            const auto mat = [&](int i) {
+                materializeSession(*fresh[static_cast<std::size_t>(i)],
+                                   opt, index);
+            };
+            if (pool.threadCount() > 1 && total > 1)
+                parallelFor(pool, total, mat);
+            else
+                for (int i = 0; i < total; i++)
+                    mat(i);
+            continue;
+        }
         {
             const obs::ScopedSpan wave_span(
                 "model.round",
-                {{"flights", static_cast<int64_t>(total)},
+                {{"units", static_cast<int64_t>(total)},
                  {"sessions",
                   static_cast<int64_t>(open.size())}});
-            // Waves are fine-grained (one layer of one token per
-            // unit), so fan out only as wide as the HARDWARE can
+            // Units are fine-grained (one layer of one decode token,
+            // or one query tile of one KV head), so fan out only as
+            // wide as the HARDWARE can
             // execute: an oversubscribed pool would wake sleeping
             // workers for microsecond units and pay a context switch
             // each — on a 1-core host the whole wave runs inline on
@@ -519,6 +545,11 @@ coscheduleRound(std::vector<std::unique_ptr<Session>> &active,
             // results, only overhead.
             ThreadPool *nested = total < lanes ? &pool : nullptr;
             const auto unit = [&](int i) {
+                if (i >= engine_units) {
+                    materializeInWave(
+                        static_cast<std::size_t>(i - engine_units));
+                    return;
+                }
                 const UnitRef &u =
                     units[static_cast<std::size_t>(i)];
                 u.engine->runCollectedUnit(u.unit, nested);
@@ -532,7 +563,7 @@ coscheduleRound(std::vector<std::unique_ptr<Session>> &active,
             if constexpr (obs::kTelemetryEnabled) {
                 WaveMetrics &m = WaveMetrics::get();
                 m.rounds.add(1);
-                m.units.add(static_cast<uint64_t>(total));
+                m.units.add(static_cast<uint64_t>(engine_units));
                 const auto wall_us = static_cast<uint64_t>(
                     std::chrono::duration_cast<
                         std::chrono::microseconds>(

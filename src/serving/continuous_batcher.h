@@ -9,7 +9,7 @@
  * workload materialization, a scored prefill chunk, or one decoded
  * token — fanned across a ThreadPool. By default the fan-out is
  * *co-scheduled* (`BatcherOptions::coschedule`): the round collects
- * every session's ready pipeline units into one flat list per wave
+ * every session's ready engine units into one flat list per wave
  * and runs a single pool-wide parallelFor over all of them, so the
  * host saturates on sessions x layers units even when each session
  * alone could not fill it; the per-session nested-parallelFor
@@ -23,8 +23,9 @@
  * Sessions are whole *models*, not single layers: each owns a
  * `ModelEngine` — `layers` LayerEngines, each one `KvCache` per KV
  * head shared by heads/kv_heads grouped query heads (GQA) — and every
- * prefill/decode unit drains the engine's software pipeline, so token
- * t's layer-l work overlaps token t+1's layer-(l-1) work on the pool
+ * prefill/decode unit runs the engine's layer-major steps: a prefill
+ * chunk is staged once per layer and then scored as KV-head x
+ * query-tile units on the pool, a decode token is one unit per layer
  * (serving/model_engine.h proves that schedule bit-identical to the
  * serial layer loop). Prefill *scores*: each prefill round feeds a
  * chunk of prompt positions through every layer, bit-identical to
@@ -98,12 +99,12 @@ struct BatcherOptions
     int head_dim = 64;     //!< per-head geometry
     int bits = 8;
     int page_tokens = 256; //!< KvCache page capacity
-    /** false = serial layer-by-layer schedule (the reference the
-     *  pipelined engine is differentially tested against). */
+    /** false = serial position-by-position schedule (the reference
+     *  the layer-major engine is differentially tested against). */
     bool pipeline = true;
     /**
      * Cross-session round co-scheduling: merge every active session's
-     * ready pipeline units into one flat list per wave and fan the
+     * ready engine units into one flat list per wave and fan the
      * whole fleet through a SINGLE parallelFor, instead of one nested
      * parallelFor per session per engine round. Keeps wide hosts full
      * when any one session can only expose `layers` units, and

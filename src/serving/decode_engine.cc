@@ -8,6 +8,9 @@ namespace pade {
 
 namespace {
 
+/** Widest key bit width a BitPlaneSet stores (widths are 2..8). */
+constexpr int kMaxPlaneBits = 8;
+
 // Per-step decode telemetry: pruning effectiveness and kernel
 // dispatch mix (docs/OBSERVABILITY.md). References cached once; the
 // recording cost is a handful of relaxed adds per *step*, never per
@@ -48,6 +51,27 @@ DecodeEngine::DecodeEngine(PadeConfig cfg, RetentionPolicy retention)
 {
     PADE_CHECK_GE(retention_.sink_tokens, 0);
     PADE_CHECK_GE(retention_.recency_tokens, 0);
+}
+
+void
+DecodeEngine::reconfigure(const PadeConfig &cfg,
+                          const RetentionPolicy &retention)
+{
+    PADE_CHECK_GE(retention.sink_tokens, 0);
+    PADE_CHECK_GE(retention.recency_tokens, 0);
+    cfg_ = cfg;
+    retention_ = retention;
+    stats_ = PruneStats{};
+    order_len_ = -1;
+    order_window_ = -1;
+    // A windowed step clears only what its predecessor recorded in
+    // `touched`; a full-history predecessor recorded nothing, so drop
+    // the per-token scratch outright (it regrows zero-filled).
+    for (HeadState &hs : heads_) {
+        hs.planes.clear();
+        hs.keep.clear();
+        hs.touched.clear();
+    }
 }
 
 DecodeStep
@@ -175,8 +199,14 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
             hs.planes.assign(static_cast<std::size_t>(order_len), 0);
             hs.keep.assign(static_cast<std::size_t>(order_len), 0);
         }
-        istaScanOrderInto(order_len, cfg_.tile_bc, cfg_.head_tail,
-                          order_);
+        // Prefill positions of one prompt share the full-prompt
+        // order; only a new length regenerates it.
+        if (order_len != order_len_ || order_window_ != -1) {
+            istaScanOrderInto(order_len, cfg_.tile_bc, cfg_.head_tail,
+                              order_);
+            order_len_ = order_len;
+            order_window_ = -1;
+        }
     } else {
         for (int gi = 0; gi < g; gi++) {
             HeadState &hs = heads_[static_cast<std::size_t>(gi)];
@@ -194,9 +224,13 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
                                0);
             }
         }
-        istaScanOrderInto(order_len, cfg_.tile_bc, cfg_.head_tail,
-                          retention_.sink_tokens,
-                          retention_.horizon(stream_len), order_);
+        const int horizon = retention_.horizon(stream_len);
+        if (order_len != order_len_ || horizon != order_window_) {
+            istaScanOrderInto(order_len, cfg_.tile_bc, cfg_.head_tail,
+                              retention_.sink_tokens, horizon, order_);
+            order_len_ = order_len;
+            order_window_ = horizon;
+        }
         // Conservative write-set: the scan below only writes at
         // positions of order_ (causal/evicted skips leave zeros, and
         // re-clearing a zero is harmless).
@@ -206,11 +240,25 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     }
 
     DecodeStep res;
-    const uint64_t planes_before = stats_.planes_processed;
-    const uint64_t planes_total_before = stats_.planes_total;
+    const bool guard_on = cfg_.guard_enabled;
+    // Signed plane weights -2^{b-1}, 2^{b-2}, ..., 1 (BitPlaneSet::
+    // planeWeight): a property of the cache's bit width, identical on
+    // every page, so they are computed once per step, not per plane.
+    PADE_CHECK_LE(bits, kMaxPlaneBits);
+    int64_t weight[kMaxPlaneBits];
+    for (int r = 0; r < bits; r++)
+        weight[r] = r == 0 ? -(int64_t{1} << (bits - 1))
+                           : int64_t{1} << (bits - 1 - r);
+    // Step-local counters: stats_ is only updated once after the
+    // scan. Kept in members, every counter would go through memory on
+    // each plane, because the uint8_t planes store may alias them.
+    uint64_t planes_done = 0;
+    uint64_t ops_bs = 0;
+    uint64_t ops_naive = 0;
+    uint64_t kept = 0;
 
     // The padeAttention inner loop, key-outer / query-head-inner: the
-    // (page, row) mapping, the packed plane row, and the cached
+    // (page, row) mapping, the row's plane block, and the cached
     // PlaneWork entries are KV-head state — resolved once per key and
     // reused by every query head of the group. Skips (causal,
     // evicted) happen before any stats, exactly like padeAttention's
@@ -219,65 +267,71 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     for (int j : order_) {
         if (j > qpos)
             continue; // causal / not yet prefilled
-        if (!cache.pageLive(cache.pageOf(j)))
-            continue; // front-dropped or middle-reclaimed pages
         const int page = cache.pageOf(j);
+        if (!cache.pageLive(page))
+            continue; // front-dropped or middle-reclaimed pages
         const int local = cache.rowOf(j);
         const BitPlaneSet &kp = cache.pagePlanes(page);
+        const uint64_t *krow = kp.rowPlanes(local).data();
+        const auto stride = static_cast<std::size_t>(kp.planeStride());
+        const int words = kp.wordsPerPlane();
         const PlaneWork *wrow = cache.pageWork(page).data() +
             static_cast<std::size_t>(local) * bits;
         res.keys++;
 
         for (int gi = 0; gi < g; gi++) {
             HeadState &hs = heads_[static_cast<std::size_t>(gi)];
-            stats_.keys_total++;
-            stats_.planes_total += static_cast<uint64_t>(bits);
-
             int64_t score = 0;
             bool pruned = false;
-            for (int r = 0; r < bits; r++) {
+            int r = 0;
+            while (!pruned && r < bits) {
+                const uint64_t *mask =
+                    krow + static_cast<std::size_t>(r) * stride;
                 score += simd_qk
-                    ? static_cast<int64_t>(kp.planeWeight(r)) *
-                        simd::maskedSumAvx2(hs.qview,
-                                            kp.plane(local, r).data(),
-                                            kp.wordsPerPlane())
+                    ? weight[r] *
+                        simd::maskedSumAvx2(hs.qview, mask, words)
                     : packed_qk
-                    ? planeDelta(hs.qplanes, kp, local, r)
+                    ? weight[r] *
+                        hs.qplanes.maskedSum(
+                            {mask, static_cast<std::size_t>(words)})
                     : planeDeltaScalar(
                           qs_[static_cast<std::size_t>(gi)], kp,
                           local, r);
-                hs.planes[static_cast<std::size_t>(j)] =
-                    static_cast<uint8_t>(r + 1);
-                stats_.planes_processed++;
-
-                const PlaneWork &w = wrow[r];
-                stats_.ops_bs +=
-                    static_cast<uint64_t>(w.selected_bs);
-                stats_.ops_naive +=
-                    static_cast<uint64_t>(w.selected_naive);
-
+                ops_bs += static_cast<uint64_t>(wrow[r].selected_bs);
+                ops_naive +=
+                    static_cast<uint64_t>(wrow[r].selected_naive);
                 hs.guard.observe(score + hs.bui.lower(r));
-                if (cfg_.guard_enabled &&
-                    hs.guard.shouldPrune(score + hs.bui.upper(r))) {
-                    pruned = true;
-                    break;
-                }
+                pruned = guard_on &&
+                    hs.guard.shouldPrune(score + hs.bui.upper(r));
+                r++;
             }
+            // Planes 0..r-1 were consumed (see lastPlanes()).
+            hs.planes[static_cast<std::size_t>(j)] =
+                static_cast<uint8_t>(r);
+            planes_done += static_cast<uint64_t>(r);
             if (!pruned) {
                 hs.keep[static_cast<std::size_t>(j)] = 1;
-                stats_.keys_retained++;
+                kept++;
                 hs.retained.push_back(j);
                 hs.retained_scores.push_back(score);
             }
         }
     }
+    const uint64_t visits = static_cast<uint64_t>(res.keys) *
+        static_cast<uint64_t>(g);
+    stats_.keys_total += visits;
+    stats_.planes_total += visits * static_cast<uint64_t>(bits);
+    stats_.planes_processed += planes_done;
+    stats_.ops_bs += ops_bs;
+    stats_.ops_naive += ops_naive;
+    stats_.keys_retained += kept;
     for (int gi = 0; gi < g; gi++) {
         stats_.threshold_updates +=
             heads_[static_cast<std::size_t>(gi)].guard.updates();
         res.retained += static_cast<int>(
             heads_[static_cast<std::size_t>(gi)].retained.size());
     }
-    res.planes = stats_.planes_processed - planes_before;
+    res.planes = planes_done;
     if constexpr (obs::kTelemetryEnabled) {
         DecodeMetrics &m = DecodeMetrics::get();
         // Per-query-head totals, matching PruneStats semantics: the
@@ -288,8 +342,7 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
                            static_cast<uint64_t>(g));
         m.keys_retained.add(static_cast<uint64_t>(res.retained));
         m.planes_consumed.add(res.planes);
-        m.planes_total.add(stats_.planes_total -
-                           planes_total_before);
+        m.planes_total.add(visits * static_cast<uint64_t>(bits));
     }
 
     // ISTA value stage per head, tiled by Bc in scan order — the

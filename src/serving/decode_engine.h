@@ -216,6 +216,27 @@ class DecodeEngine
     /** Pruning statistics accumulated across all steps (group sums). */
     const PruneStats &stats() const { return stats_; }
 
+    /** Fold in statistics a scratch engine accumulated while scoring
+     *  on this engine's behalf (ModelEngine's tiled prefill). */
+    void addStats(const PruneStats &s) { stats_ += s; }
+
+    /** Return the statistics accumulated so far and zero them. */
+    PruneStats
+    takeStats()
+    {
+        const PruneStats s = stats_;
+        stats_ = PruneStats{};
+        return s;
+    }
+
+    /**
+     * Re-arm a scratch engine for another stream's algorithm config
+     * and retention policy, keeping its grown buffers. Statistics are
+     * zeroed and last-step scratch is cleared.
+     */
+    void reconfigure(const PadeConfig &cfg,
+                     const RetentionPolicy &retention);
+
     /** Query heads of the last step (1 for step()). */
     int lastGroup() const { return group_; }
 
@@ -288,6 +309,10 @@ class DecodeEngine
     std::vector<HeadState> heads_;
     OnlineSoftmaxRow softmax_{0};
     std::vector<int> order_;
+    /** Arguments order_ was generated for: its length and the
+     *  window start (-1 = full order). */
+    int order_len_ = -1;
+    int order_window_ = -1;
     std::vector<float> tile_scores_;
     std::vector<std::span<const float>> tile_rows_;
 };

@@ -90,10 +90,7 @@ LayerEngine::runHeads(const MatrixI8 &q,
                                prompt_len, scale, out, kv * group);
     };
     const auto fold = [](LayerStep &acc, const DecodeStep &st) {
-        acc.keys = st.keys; // identical across KV heads (same cache
-                            // size, same window)
-        acc.retained += st.retained;
-        acc.planes += st.planes;
+        acc.add(st);
     };
 
     // KV heads are fully independent (disjoint caches, engines, and

@@ -79,6 +79,16 @@ struct LayerStep
     int keys = 0;        //!< tokens scanned per query head
     int retained = 0;    //!< retentions summed over all query heads
     uint64_t planes = 0; //!< bit planes consumed, summed
+
+    /** Fold one KV head's step in (callers go in ascending KV-head
+     *  order; keys is the same for every KV head of a layer). */
+    void
+    add(const DecodeStep &st)
+    {
+        keys = st.keys;
+        retained += st.retained;
+        planes += st.planes;
+    }
 };
 
 /**

@@ -13,14 +13,13 @@ namespace pade {
 
 namespace {
 
-// Pipeline-utilization telemetry (ROADMAP item 2, now observable):
-// every pipelined round records the wall time the *width* of the
-// round could have used (min(pool threads, flights) x round wall) and
-// the time its units actually computed. The bubble ratio of any
-// snapshot delta is then
+// Step-utilization telemetry: every step records the wall time the
+// *width* of the step could have used (lanes x step wall) and the time
+// its units actually computed. The bubble ratio of any snapshot delta
+// is then
 //     1 - model.unit_busy_us / model.round_capacity_us
-// — 0 when every lane of every round was full, approaching 1 as the
-// pipeline starves (fill/drain phases, cores > flights).
+// — 0 when every lane of every step was full, approaching 1 as steps
+// starve (thin steps, cores > units).
 struct ModelMetrics
 {
     obs::Counter &rounds;
@@ -50,6 +49,22 @@ microsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+/**
+ * The calling thread's scratch engine for score units: scratch
+ * belongs to the worker, so its memory scales with the worker count,
+ * not with the number of sessions. Re-armed for the caller's config;
+ * its statistics are handed back per unit. A score unit never waits
+ * on the pool, so no thread re-enters its engine mid-unit by work
+ * stealing.
+ */
+DecodeEngine &
+scratchEngine(const LayerEngineConfig &lc)
+{
+    thread_local DecodeEngine engine;
+    engine.reconfigure(lc.pade, lc.retention);
+    return engine;
+}
+
 } // namespace
 
 ModelEngine::ModelEngine(const ModelEngineConfig &cfg,
@@ -58,9 +73,12 @@ ModelEngine::ModelEngine(const ModelEngineConfig &cfg,
                          Stager stager, Sink sink)
     : cfg_(cfg), v_scales_(v_scales.begin(), v_scales.end()),
       logit_scales_(logit_scales.begin(), logit_scales.end()),
-      stager_(std::move(stager)), sink_(std::move(sink))
+      stager_(std::move(stager)), sink_(std::move(sink)),
+      stage_k_(cfg.layer.kv_heads, cfg.layer.head_dim),
+      stage_v_(cfg.layer.kv_heads, cfg.layer.head_dim)
 {
     PADE_CHECK_GE(cfg_.layers, 1);
+    PADE_CHECK_GE(cfg_.layer.pade.tile_bc, 1);
     const auto kv = static_cast<std::size_t>(cfg_.layer.kv_heads);
     PADE_CHECK_EQ(v_scales_.size(),
                   static_cast<std::size_t>(cfg_.layers) * kv);
@@ -70,18 +88,11 @@ ModelEngine::ModelEngine(const ModelEngineConfig &cfg,
     PADE_CHECK(sink_ != nullptr);
 
     layers_.reserve(static_cast<std::size_t>(cfg_.layers));
-    stage_k_.reserve(static_cast<std::size_t>(cfg_.layers));
-    stage_v_.reserve(static_cast<std::size_t>(cfg_.layers));
-    stage_q_.reserve(static_cast<std::size_t>(cfg_.layers));
-    for (int l = 0; l < cfg_.layers; l++) {
+    for (int l = 0; l < cfg_.layers; l++)
         layers_.emplace_back(
             cfg_.layer,
             std::span<const float>(v_scales_)
                 .subspan(static_cast<std::size_t>(l) * kv, kv));
-        stage_k_.emplace_back(cfg_.layer.kv_heads, cfg_.layer.head_dim);
-        stage_v_.emplace_back(cfg_.layer.kv_heads, cfg_.layer.head_dim);
-        stage_q_.emplace_back(cfg_.layer.heads, cfg_.layer.head_dim);
-    }
 }
 
 void
@@ -92,107 +103,184 @@ ModelEngine::feed(int pos, int prompt_len)
     PADE_CHECK_EQ(pos, fed_);
     PADE_CHECK_GE(prompt_len, 0);
     fed_++;
-    queue_.push_back(Job{pos, prompt_len});
+    queue_.push_back(prompt_len);
 }
 
-ModelEngine::Flight
-ModelEngine::takeFlight(const Job &job)
+std::span<const float>
+ModelEngine::logitScales(int l) const
 {
-    Flight f;
-    if (!spares_.empty()) {
-        f = std::move(spares_.back());
-        spares_.pop_back();
-    } else {
-        f.outs.reserve(static_cast<std::size_t>(cfg_.layers));
-        for (int l = 0; l < cfg_.layers; l++)
-            f.outs.emplace_back(cfg_.layer.heads, cfg_.layer.head_dim);
-        f.steps.resize(static_cast<std::size_t>(cfg_.layers));
-    }
-    f.job = job;
-    f.age = 0;
-    return f;
-}
-
-void
-ModelEngine::runUnit(Flight &f, int l, ThreadPool *pool)
-{
-    const auto li = static_cast<std::size_t>(l);
-    MatrixI8 &k = stage_k_[li];
-    MatrixI8 &v = stage_v_[li];
-    MatrixI8 &q = stage_q_[li];
-    stager_(l, f.job.pos, k, v, q);
-
-    LayerEngine &layer = layers_[li];
-    layer.appendToken(k, v);
     const auto kv = static_cast<std::size_t>(cfg_.layer.kv_heads);
-    const std::span<const float> scales =
-        std::span<const float>(logit_scales_).subspan(li * kv, kv);
-    if (f.job.pos < f.job.prompt_len) {
-        f.steps[li] = layer.prefillPosition(q, f.job.pos,
-                                            f.job.prompt_len, scales,
-                                            f.outs[li], pool);
-    } else {
-        f.steps[li] = layer.decode(q, scales, f.outs[li], pool);
-        layer.evict();
-    }
+    return std::span<const float>(logit_scales_)
+        .subspan(static_cast<std::size_t>(l) * kv, kv);
 }
 
-void
-ModelEngine::retire(Flight &&f)
+bool
+ModelEngine::openChunk()
 {
-    TokenResult result;
-    result.pos = f.job.pos;
-    result.prompt_len = f.job.prompt_len;
-    result.outs = f.outs;
-    result.steps = f.steps;
-    sink_(result);
-    completed_++;
-    spares_.push_back(std::move(f));
+    if (queue_.empty())
+        return false;
+    Chunk &c = chunk_;
+    c.first = fed_ - static_cast<int>(queue_.size());
+    c.prompt_len = queue_.front();
+    // A prefill chunk is every queued prompt position of the same
+    // prompt; a decode position (and every position of the serial
+    // oracle) is a chunk of one.
+    int n = 1;
+    if (cfg_.pipeline && c.prefill())
+        while (n < static_cast<int>(queue_.size()) &&
+               c.first + n < c.prompt_len &&
+               queue_[static_cast<std::size_t>(n)] == c.prompt_len)
+            n++;
+    queue_.erase(queue_.begin(), queue_.begin() + n);
+    c.n = n;
+    c.layer = 0;
+    c.scoring = false;
+    const int tile = cfg_.layer.pade.tile_bc;
+    c.tiles = (n + tile - 1) / tile;
+
+    const auto cells = static_cast<std::size_t>(n) *
+        static_cast<std::size_t>(cfg_.layers);
+    if (c.outs.size() != cells) {
+        c.outs.clear();
+        c.outs.reserve(cells);
+        for (std::size_t i = 0; i < cells; i++)
+            c.outs.emplace_back(cfg_.layer.heads, cfg_.layer.head_dim);
+        c.q.clear();
+        for (int i = 0; i < n; i++)
+            c.q.emplace_back(cfg_.layer.heads, cfg_.layer.head_dim);
+    }
+    c.steps.assign(cells, LayerStep{});
+    if (stepKind() != UnitKind::kSerial && c.prefill()) {
+        const auto kv = static_cast<std::size_t>(cfg_.layer.kv_heads);
+        c.head_steps.assign(static_cast<std::size_t>(n) * kv,
+                            DecodeStep{});
+        c.tile_stats.assign(kv * static_cast<std::size_t>(c.tiles),
+                            PruneStats{});
+    }
+    return true;
+}
+
+ModelEngine::UnitKind
+ModelEngine::stepKind() const
+{
+    if (!cfg_.pipeline)
+        return UnitKind::kSerial;
+    if (chunk_.n == 1 && !chunk_.prefill())
+        return UnitKind::kDecode;
+    return chunk_.scoring ? UnitKind::kScore : UnitKind::kStage;
 }
 
 int
 ModelEngine::collectUnits()
 {
     PADE_CHECK(!round_open_);
-    if (!cfg_.pipeline) {
-        // Serial reference schedule: one whole-token unit per round.
-        // (flight_ holds at most this one entry in serial mode.)
-        if (queue_.empty())
-            return 0;
-        flight_.push_back(takeFlight(queue_.front()));
-        queue_.pop_front();
-        round_open_ = true;
-        return 1;
-    }
-    if (queue_.empty() && flight_.empty())
+    if (chunk_.n == 0 && !openChunk())
         return 0;
-    if (!queue_.empty()) {
-        flight_.push_back(takeFlight(queue_.front()));
-        queue_.pop_front();
-    }
     round_open_ = true;
-    return static_cast<int>(flight_.size());
+    return stepKind() == UnitKind::kScore
+        ? cfg_.layer.kv_heads * chunk_.tiles
+        : 1;
+}
+
+void
+ModelEngine::runPosition(int l, ThreadPool *pool)
+{
+    Chunk &c = chunk_;
+    const int pos = c.first;
+    MatrixI8 &q = c.q.front();
+    stager_(l, pos, stage_k_, stage_v_, q);
+
+    LayerEngine &layer = layers_[static_cast<std::size_t>(l)];
+    layer.appendToken(stage_k_, stage_v_);
+    const auto cell = static_cast<std::size_t>(l);
+    if (pos < c.prompt_len) {
+        c.steps[cell] = layer.prefillPosition(
+            q, pos, c.prompt_len, logitScales(l), c.outs[cell], pool);
+    } else {
+        c.steps[cell] =
+            layer.decode(q, logitScales(l), c.outs[cell], pool);
+        layer.evict();
+    }
+}
+
+void
+ModelEngine::stageChunk()
+{
+    Chunk &c = chunk_;
+    LayerEngine &layer = layers_[static_cast<std::size_t>(c.layer)];
+    for (int i = 0; i < c.n; i++) {
+        stager_(c.layer, c.first + i, stage_k_, stage_v_,
+                c.q[static_cast<std::size_t>(i)]);
+        layer.appendToken(stage_k_, stage_v_);
+    }
+}
+
+void
+ModelEngine::scoreTile(int u)
+{
+    Chunk &c = chunk_;
+    const int kv = u / c.tiles;
+    const int tile = u % c.tiles;
+    const int group = cfg_.layer.groupSize();
+    const int lo = tile * cfg_.layer.pade.tile_bc;
+    const int hi = std::min(c.n, lo + cfg_.layer.pade.tile_bc);
+    const KvCache &cache = layers_[static_cast<std::size_t>(c.layer)]
+                               .cache(kv);
+    const float scale =
+        logitScales(c.layer)[static_cast<std::size_t>(kv)];
+    const auto kvs = static_cast<std::size_t>(cfg_.layer.kv_heads);
+
+    DecodeEngine &eng = scratchEngine(cfg_.layer);
+    for (int i = lo; i < hi; i++) {
+        const auto si = static_cast<std::size_t>(i);
+        c.head_steps[si * kvs + static_cast<std::size_t>(kv)] =
+            eng.prefillGroup(
+                cache, c.q[si], kv * group, group, c.first + i,
+                c.prompt_len, scale,
+                c.outs[static_cast<std::size_t>(i * cfg_.layers +
+                                                c.layer)],
+                kv * group);
+    }
+    c.tile_stats[static_cast<std::size_t>(u)] = eng.takeStats();
 }
 
 void
 ModelEngine::runCollectedUnit(int u, ThreadPool *pool)
 {
     PADE_DCHECK(round_open_);
-    Flight &f = flight_[static_cast<std::size_t>(u)];
-    if (!cfg_.pipeline) {
-        for (int l = 0; l < cfg_.layers; l++)
-            runUnit(f, l, pool);
+    const UnitKind kind = stepKind();
+    const auto run = [&] {
+        switch (kind) {
+        case UnitKind::kSerial:
+            for (int l = 0; l < cfg_.layers; l++)
+                runPosition(l, pool);
+            break;
+        case UnitKind::kDecode: runPosition(chunk_.layer, pool); break;
+        case UnitKind::kStage: stageChunk(); break;
+        case UnitKind::kScore: scoreTile(u); break;
+        }
+    };
+    if (kind == UnitKind::kSerial) {
+        run();
         return;
     }
     if constexpr (obs::kTelemetryEnabled) {
+        static constexpr const char *kKindNames[] = {"stage", "score",
+                                                     "decode"};
         const obs::ScopedSpan span(
-            "model.unit", {{"layer", f.age}, {"pos", f.job.pos}});
+            "model.unit",
+            {obs::traceText("kind",
+                            kKindNames[static_cast<int>(kind)]),
+             {"layer", chunk_.layer},
+             {"positions", chunk_.n},
+             {"tile", kind == UnitKind::kScore ? u % chunk_.tiles
+                                                : -1}});
         const auto t0 = std::chrono::steady_clock::now();
-        runUnit(f, f.age, pool);
+        run();
         ModelMetrics::get().unit_busy_us.add(
             static_cast<uint64_t>(microsSince(t0)));
     } else {
-        runUnit(f, f.age, pool);
+        run();
     }
 }
 
@@ -201,23 +289,66 @@ ModelEngine::completeRound()
 {
     PADE_CHECK(round_open_);
     round_open_ = false;
-    if (!cfg_.pipeline) {
-        Flight f = std::move(flight_.front());
-        flight_.pop_front();
-        retire(std::move(f));
-        return;
+    Chunk &c = chunk_;
+    switch (stepKind()) {
+    case UnitKind::kSerial:
+        c.layer = cfg_.layers;
+        break;
+    case UnitKind::kDecode:
+        c.layer++;
+        break;
+    case UnitKind::kStage:
+        c.scoring = true;
+        break;
+    case UnitKind::kScore: {
+        // Post-barrier, on this thread, in ascending (KV head, tile)
+        // order: the scratch engines' counters go to the KV head
+        // they scored for, and each position's LayerStep folds its
+        // KV heads the way LayerEngine does.
+        LayerEngine &layer = layers_[static_cast<std::size_t>(c.layer)];
+        const int kvs = cfg_.layer.kv_heads;
+        for (int kv = 0; kv < kvs; kv++)
+            for (int t = 0; t < c.tiles; t++)
+                layer.engine(kv).addStats(
+                    c.tile_stats[static_cast<std::size_t>(
+                        kv * c.tiles + t)]);
+        for (int i = 0; i < c.n; i++) {
+            LayerStep &st = c.steps[static_cast<std::size_t>(
+                i * cfg_.layers + c.layer)];
+            for (int kv = 0; kv < kvs; kv++)
+                st.add(c.head_steps[static_cast<std::size_t>(
+                    i * kvs + kv)]);
+        }
+        c.scoring = false;
+        c.layer++;
+        break;
     }
-    // Post-barrier, on the caller: age everyone, retire the front
-    // when its last layer just ran. At most one token can retire per
-    // round (ages are distinct), and it is always the oldest — tokens
-    // leave in feed order.
-    for (Flight &f : flight_)
-        f.age++;
-    while (!flight_.empty() && flight_.front().age == cfg_.layers) {
-        Flight f = std::move(flight_.front());
-        flight_.pop_front();
-        retire(std::move(f));
     }
+    if (c.layer == cfg_.layers)
+        retireChunk();
+}
+
+void
+ModelEngine::retireChunk()
+{
+    Chunk &c = chunk_;
+    const auto layers = static_cast<std::size_t>(cfg_.layers);
+    for (int i = 0; i < c.n; i++) {
+        const auto at = static_cast<std::size_t>(i) * layers;
+        TokenResult result;
+        result.pos = c.first + i;
+        result.prompt_len = c.prompt_len;
+        result.outs = std::span<const MatrixF>(c.outs).subspan(at, layers);
+        result.steps =
+            std::span<const LayerStep>(c.steps).subspan(at, layers);
+        sink_(result);
+        completed_++;
+    }
+    // Chunk buffers die with the chunk; a decode position's are kept
+    // for the next one.
+    if (c.n > 1)
+        c = Chunk{};
+    c.n = 0;
 }
 
 bool
@@ -231,23 +362,18 @@ ModelEngine::advance(ThreadPool *pool)
         completeRound();
         return true;
     }
-
-    // The systolic round: every in-flight token at its own layer.
-    // Ages are pairwise distinct (strictly decreasing front to back),
-    // so the units touch disjoint engines/buffers — see file comment.
-    const obs::ScopedSpan round_span("model.round",
-                                     {{"flights", n}});
+    const obs::ScopedSpan round_span("model.round", {{"units", n}});
     const bool fanout = pool && pool->threadCount() > 1 && n > 1;
     int width = 1;
     if constexpr (obs::kTelemetryEnabled) {
         if (fanout) {
-            // Honest capacity width: workers this round can actually
+            // Honest capacity width: workers this step can actually
             // claim, not min(threads, n). When the pool is shared —
             // the per-session batcher fans sessions over the same
             // pool that runs these units — most workers are busy
-            // with OTHER sessions' rounds, and charging their time
+            // with OTHER sessions' steps, and charging their time
             // as idle capacity would overstate the bubble ratio.
-            // Subtract the occupants seen at round start (minus this
+            // Subtract the occupants seen at step start (minus this
             // caller's own slot when it runs inside a pool task).
             const int busy_others = std::max(
                 0,
@@ -286,9 +412,9 @@ void
 ModelEngine::adoptPrefixPages(
     std::span<const std::shared_ptr<const KvPage>> pages)
 {
-    // Adoption splices pages at the frontier; with tokens in flight
+    // Adoption splices pages at the frontier; with positions pending
     // the frontier would move under them.
-    PADE_CHECK(queue_.empty() && flight_.empty());
+    PADE_CHECK(queue_.empty() && chunk_.n == 0);
     const auto kv = static_cast<std::size_t>(cfg_.layer.kv_heads);
     PADE_CHECK_EQ(pages.size(),
                   static_cast<std::size_t>(cfg_.layers) * kv);
@@ -296,6 +422,7 @@ ModelEngine::adoptPrefixPages(
         layers_[static_cast<std::size_t>(l)].adoptSharedPages(
             pages.subspan(static_cast<std::size_t>(l) * kv, kv));
     fed_ += cfg_.layer.page_tokens;
+    frontier_ += cfg_.layer.page_tokens;
 }
 
 void

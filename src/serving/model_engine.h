@@ -1,46 +1,60 @@
 /**
  * @file
  * Whole-model serving engine: `layers` LayerEngines composed into one
- * session, with the layer loop software-pipelined across a ThreadPool.
+ * session, stepped layer-major so that each step exposes as many
+ * independent units as the work allows.
  *
- * A transformer forward pass visits every layer per token. Run
- * serially, layer l+1 idles while layer l scores — on a pool that
- * leaves most workers starved whenever kv_heads < threads. This
- * engine instead runs the layer loop as a systolic pipeline over
- * *tokens*: each advance() round processes up to `layers` in-flight
- * tokens concurrently, token t at layer l while token t+1 is at layer
- * l-1 (layer l's decode for one token overlaps layer l+1's append for
- * the previous one). A token enters the pipeline per round and
- * retires `layers` rounds later.
+ * The schedule. Queued positions run as *chunks*, one chunk at a time,
+ * in feed order:
  *
- * Why the pipelined schedule is bit-identical to the serial
- * layer-by-layer reference, for any thread count:
+ *  - A prefill chunk is every queued prompt position. It runs two
+ *    steps per layer, layer 0 first. The *stage* step is one unit: it
+ *    stages the chunk's K/V/Q rows for that layer and appends K/V to
+ *    the layer's caches. The *score* step is kv_heads x ceil(n /
+ *    PadeConfig::tile_bc) units; each runs DecodeEngine::prefillGroup
+ *    for one KV head over one tile of the chunk's queries, against
+ *    caches nobody appends to during the step. A chunk therefore
+ *    takes 2 x layers steps, whatever its length.
+ *  - A decode position is a chunk of one: one unit per layer and
+ *    step (stage, append, grouped decode, retention eviction). Decode
+ *    positions fed together still run one position at a time, so a
+ *    schedule can never start token t+1 before token t has left the
+ *    last layer — the step sequence is one an autoregressive decoder
+ *    can actually run.
  *
- *  - In-flight tokens always sit at *distinct* layers (ages are
- *    strictly decreasing from the oldest flight to the newest, one
- *    round apart), so the round's concurrent units touch disjoint
- *    LayerEngines, disjoint staging buffers, and disjoint output
- *    rows — there is nothing to race on, which the TSan CI leg and
- *    tests/test_concurrency_stress.cc watch at runtime.
- *  - Each layer still sees tokens in exact feed order (token t's unit
- *    at layer l runs in round t + l, t's successor in round t+1+l),
- *    so every KvCache append sequence — and therefore every plane
- *    table, guard threshold, and PruneStats counter — is the sequence
- *    the serial schedule produces.
- *  - Within a unit, the KV-head fan-out reduces via
- *    parallelReduceOrdered (ascending KV-head order on the caller),
- *    the established barrier discipline of LayerEngine.
- *  - Token results are emitted on the advance() caller *after* the
- *    round barrier, oldest flight first — completed tokens surface in
- *    feed order in both schedules, so the sink sees one canonical
- *    emission sequence.
+ * A chunk's positions retire through the sink, in feed order, when its
+ * last layer's step completes; its buffers are released with it.
+ *
+ * Why every schedule is bit-identical to the serial oracle
+ * (`pipeline = false`: one position at a time through every layer,
+ * LayerEngine::prefillPosition / decode on the layer's own engines),
+ * for any thread count and any chunking:
+ *
+ *  - Each layer receives the same KV appends in the same order, so
+ *    every cache page, plane table and PlaneWork entry is the same.
+ *  - Prefill scoring needs only "tokens up to at least qpos" in the
+ *    cache: prefillGroup walks the ISTA order of the FULL prompt with
+ *    a causal skip, so scoring after the whole chunk is appended
+ *    gives the result scoring after each single append would.
+ *  - Units of one step touch disjoint state: the stage unit is alone
+ *    in its step; a score unit writes only its own output rows
+ *    (its KV head's query rows of its tile's positions) and its own
+ *    accounting slot, and reads caches that are immutable for the
+ *    step. Score units run on a per-worker scratch DecodeEngine, so no
+ *    two concurrent units share scan state.
+ *  - The scratch engines' PruneStats are folded into the owning KV
+ *    head's engine, and per-KV-head step accounting into each
+ *    position's LayerStep, after the step's barrier, in ascending
+ *    (KV head, tile) order on the completing thread. All counters are
+ *    integers, so LayerEngine::stats() and stats() equal the oracle's.
+ *  - Within a decode unit, the KV-head fan-out reduces via
+ *    parallelReduceOrdered, LayerEngine's barrier discipline.
  *
  * Workload note: K/V/Q rows come from the caller's Stager (a pure
  * function of (layer, position) in the synthetic workloads), not from
  * the previous layer's activations — attention state (KV caches,
  * pruning decisions) is what the library models, not the MLP data
- * path. The pipeline's correctness argument only relies on staging
- * being callable for distinct layers concurrently.
+ * path.
  *
  * Prefix sharing: adoptPrefixPages() splices published, immutable KV
  * pages (one per layer x KV head) at the append frontier, so a
@@ -48,17 +62,17 @@
  * packing AND scoring those pages; sharePrefixPages() exports this
  * session's pages for publication (see serving/prefix_index.h).
  * Shared pages carry their cached PlaneWork and BitPlaneSet revision,
- * so every adopter scores them through the same plane tables.
+ * so every adopter scores them through the same plane tables. Score
+ * units of several sessions may read one shared page in the same
+ * step; pages are immutable once shared, so that is read-only
+ * sharing.
  *
- * Thread safety: none at the class surface — one session advances
- * from one caller thread (the batcher steps each session from a
- * single worker per round); internal fan-outs own their barriers.
- * The collectUnits()/runCollectedUnit()/completeRound() split keeps
- * the same contract one level up: collect/complete run on the
- * scheduling thread, while runCollectedUnit() calls for DISTINCT
- * units of one open round may run concurrently (they touch disjoint
- * layers/buffers) — the seam ContinuousBatcher's cross-session
- * co-scheduler fans a whole fleet of sessions through.
+ * Thread safety: none at the class surface — one session is stepped
+ * from one scheduling thread. collectUnits() and completeRound() run
+ * there; runCollectedUnit() calls for DISTINCT units of one open step
+ * may run concurrently — the seam ContinuousBatcher's cross-session
+ * co-scheduler fans a whole fleet of sessions through. advance() and
+ * drain() are the same steps with the fan-out done here.
  */
 
 #ifndef PADE_SERVING_MODEL_ENGINE_H
@@ -83,8 +97,9 @@ struct ModelEngineConfig
 {
     int layers = 1;          //!< transformer layers
     LayerEngineConfig layer; //!< per-layer geometry/algorithm config
-    /** false = serial layer-by-layer reference schedule (the oracle
-     *  the differential fuzz harness compares against). */
+    /** true = the layer-major chunk schedule; false = the serial
+     *  position-by-position reference schedule (the oracle the
+     *  differential fuzz harness compares against). */
     bool pipeline = true;
 };
 
@@ -101,16 +116,16 @@ struct TokenResult
 };
 
 /**
- * `layers` LayerEngines pipelined over tokens. See file comment for
- * the schedule and its determinism argument.
+ * `layers` LayerEngines stepped layer-major over chunks. See file
+ * comment for the schedule and its determinism argument.
  */
 class ModelEngine
 {
   public:
     /**
      * Row source: fill k/v (kv_heads x head_dim) and q (heads x
-     * head_dim) for (layer, pos). Must be safe to call for distinct
-     * layers concurrently.
+     * head_dim) for (layer, pos). Called by one unit at a time,
+     * possibly on a pool worker.
      */
     using Stager = std::function<void(int layer, int pos, MatrixI8 &k,
                                       MatrixI8 &v, MatrixI8 &q)>;
@@ -150,53 +165,44 @@ class ModelEngine
     void feed(int pos, int prompt_len);
 
     /**
-     * Run one pipeline round: admit at most one queued token into
-     * flight, process every in-flight token at its layer (fanned
-     * across @p pool when given), then retire tokens whose last layer
-     * completed. Serial mode (pipeline = false) runs one whole token
-     * through all layers instead. Returns false when nothing was left
-     * to do. Exactly collectUnits() + runCollectedUnit(0..n-1) +
-     * completeRound(), plus the per-round fan-out and capacity
-     * telemetry a self-contained round owns.
+     * Run one step (see file comment) with its units fanned across
+     * @p pool when given. Returns false when nothing was left to do.
+     * Exactly collectUnits() + runCollectedUnit(0..n-1) +
+     * completeRound(), plus the per-step fan-out and capacity
+     * telemetry a self-contained step owns.
      */
     bool advance(ThreadPool *pool = nullptr);
 
     /**
      * Co-scheduling split of advance(), for a caller that merges the
-     * ready units of MANY sessions into one global fan-out (see
-     * ContinuousBatcher's co-scheduler): collectUnits() opens a round
-     * — admitting at most one queued token into flight exactly as
-     * advance() would — and returns the number of independent units
-     * (0 = drained, no round opened). The caller may then run units
-     * 0..n-1 in ANY order or concurrently (they touch disjoint layers
-     * and buffers — the advance() disjointness argument unchanged)
-     * and must finish with completeRound(), which ages the pipeline
-     * and retires completed tokens on the calling thread, in feed
-     * order. Serial mode yields one whole-token unit per round. A
-     * round opened by collectUnits() must be completed before the
-     * next collectUnits()/advance() (PADE_CHECKed); unit-level busy
-     * telemetry is recorded here, round/capacity accounting is the
-     * caller's (it knows the global round width).
+     * units of MANY sessions into one global fan-out (see
+     * ContinuousBatcher's co-scheduler): collectUnits() opens the
+     * next step — opening a chunk from the queue if none is open —
+     * and returns its number of independent units (0 = drained, no
+     * step opened). The caller may run units 0..n-1 in ANY order or
+     * concurrently and must finish with completeRound(), which folds
+     * the step's accounting and, after a chunk's last step, retires
+     * its positions through the sink on the calling thread, in feed
+     * order. A step opened by collectUnits() must be completed before
+     * the next collectUnits()/advance() (PADE_CHECKed); unit-level
+     * busy telemetry is recorded here, round/capacity accounting is
+     * the caller's (it knows the global round width).
      */
     int collectUnits();
-    /** Run unit @p u of the round collectUnits() opened; @p pool fans
-     *  the unit's internal KV-head reduction only. */
+    /** Run unit @p u of the step collectUnits() opened; @p pool fans
+     *  a decode unit's KV-head reduction only. */
     void runCollectedUnit(int u, ThreadPool *pool = nullptr);
     void completeRound();
 
-    /** advance() until queue and pipeline are empty. */
+    /** advance() until every fed position has retired. */
     void drain(ThreadPool *pool = nullptr);
 
     /** Tokens fed (or adopted) so far == the next feedable position. */
     int fed() const { return fed_; }
     /** Tokens retired through the sink. */
     int completed() const { return completed_; }
-    /** Tokens queued or in flight. */
-    int
-    pending() const
-    {
-        return static_cast<int>(queue_.size() + flight_.size());
-    }
+    /** Positions fed but not yet retired. */
+    int pending() const { return fed_ - frontier_ - completed_; }
 
     /**
      * Adopt one page depth of published prefix: layers * kv_heads
@@ -224,25 +230,53 @@ class ModelEngine
     std::size_t bytesUsed() const;
 
   private:
-    struct Job
+    /** Kind of the unit a step runs (also the model.unit span arg). */
+    enum class UnitKind
     {
-        int pos = 0;
-        int prompt_len = 0;
-    };
-    /** One in-flight token: its job, current layer (age), and
-     *  per-layer results. Buffers recycle through spares_. */
-    struct Flight
-    {
-        Job job;
-        int age = 0;
-        std::vector<MatrixF> outs;
-        std::vector<LayerStep> steps;
+        kStage,  //!< stage + append a prefill chunk at one layer
+        kScore,  //!< one KV head x one query tile of a prefill chunk
+        kDecode, //!< one decode position at one layer
+        kSerial, //!< one position through every layer (oracle)
     };
 
-    Flight takeFlight(const Job &job);
-    /** Process flight @p f at layer @p l: stage, append, score. */
-    void runUnit(Flight &f, int l, ThreadPool *pool);
-    void retire(Flight &&f);
+    /**
+     * The open chunk: its positions, progress, and buffers. The
+     * buffers live only as long as the chunk (released at retirement,
+     * except a one-position chunk's, which the next decode reuses).
+     */
+    struct Chunk
+    {
+        int first = 0;      //!< absolute position of the first entry
+        int n = 0;          //!< positions; 0 = no chunk open
+        int prompt_len = 0; //!< prompt length the chunk was fed with
+        int layer = 0;      //!< layer of the next step
+        bool scoring = false; //!< prefill: stage done, score next
+        int tiles = 0;        //!< query tiles of a prefill chunk
+        /** Outputs and accounting, n x layers, position-major: each
+         *  position's layers are contiguous for the sink. */
+        std::vector<MatrixF> outs;
+        std::vector<LayerStep> steps;
+        /** Staged query rows of the current layer, one per position. */
+        std::vector<MatrixI8> q;
+        /** Score accounting of the current layer: per (position,
+         *  KV head) and per (KV head, tile). */
+        std::vector<DecodeStep> head_steps;
+        std::vector<PruneStats> tile_stats;
+
+        bool prefill() const { return first < prompt_len; }
+    };
+
+    /** Open the next chunk from the queue; false when it is empty. */
+    bool openChunk();
+    /** Unit kind of the open step. */
+    UnitKind stepKind() const;
+    /** A one-position chunk at layer @p l through LayerEngine:
+     *  stage, append, prefillPosition or decode + evict. */
+    void runPosition(int l, ThreadPool *pool);
+    void stageChunk();
+    void scoreTile(int u);
+    void retireChunk();
+    std::span<const float> logitScales(int l) const;
 
     ModelEngineConfig cfg_;
     std::vector<float> v_scales_;
@@ -251,17 +285,17 @@ class ModelEngine
     Sink sink_;
 
     std::vector<LayerEngine> layers_;
-    // Per-layer staging buffers: safe because each round assigns at
-    // most one flight to any layer.
-    std::vector<MatrixI8> stage_k_;
-    std::vector<MatrixI8> stage_v_;
-    std::vector<MatrixI8> stage_q_;
+    // K/V staging rows: one stage or decode unit per step.
+    MatrixI8 stage_k_;
+    MatrixI8 stage_v_;
 
-    std::deque<Job> queue_;
-    /** Ages strictly decrease front to back (front = oldest). */
-    std::deque<Flight> flight_;
-    std::vector<Flight> spares_;
+    /** Prompt length of each queued position (fed, not yet in a
+     *  chunk); positions are contiguous from fed_ - queue_.size(). */
+    std::deque<int> queue_;
+    Chunk chunk_;
     int fed_ = 0;
+    /** Positions adopted from a shared prefix (never retired). */
+    int frontier_ = 0;
     int completed_ = 0;
     /** True between collectUnits() and completeRound(). */
     bool round_open_ = false;

@@ -20,10 +20,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -66,7 +68,7 @@ runStress(const std::vector<ServingRequest> &trace, int threads,
     opt.threads = threads;
     opt.max_active = 6; // > threads for 2, < for 8: both schedules
     opt.prefill_chunk = 8;
-    opt.layers = 2; // >1 so pipeline rounds expose multiple units
+    opt.layers = 2; // >1 so every session takes several engine steps
     opt.heads = 4;
     opt.kv_heads = 2; // GQA: grouped heads share one cache
     opt.head_dim = 32;
@@ -383,7 +385,7 @@ TEST(ConcurrencyStress, ReadersInterleavedWithSerializedMutations)
 }
 
 // ---------------------------------------------------------------------
-// Pipelined ModelEngine sessions sharing ONE PrefixIndex and pool.
+// Layer-major ModelEngine sessions sharing ONE PrefixIndex and pool.
 // ---------------------------------------------------------------------
 
 uint64_t
@@ -468,12 +470,53 @@ runModelSession(const ModelSpec &spec, int page_tokens, bool pipeline,
     return mixes;
 }
 
+/**
+ * Serve a donor session (seed 4000, @p base's prefix identity) and
+ * publish its first two prefix pages into @p index. Returns the
+ * number of pages published.
+ */
+int
+publishDonorPrefix(const ModelSpec &base, int page_tokens,
+                   PrefixIndex &index)
+{
+    ModelSpec donor = base;
+    donor.seed = 4000;
+    ModelWorkload donor_work(donor);
+    ModelEngineConfig mc;
+    mc.layers = donor.layers;
+    mc.pipeline = false;
+    mc.layer.heads = donor.heads;
+    mc.layer.kv_heads = donor.kv_heads;
+    mc.layer.head_dim = donor.head_dim;
+    mc.layer.bits = donor.bits;
+    mc.layer.page_tokens = page_tokens;
+    const auto streams = static_cast<std::size_t>(donor.layers) *
+        static_cast<std::size_t>(donor.kv_heads);
+    const std::vector<float> vs(streams, donor_work.vScale());
+    const std::vector<float> ls(streams, donor_work.logitScale());
+    ModelEngine eng(
+        mc, vs, ls,
+        [&donor_work](int layer, int pos, MatrixI8 &k, MatrixI8 &v,
+                      MatrixI8 &q) {
+            donor_work.stageKv(layer, pos, k, v);
+            donor_work.stageQueries(layer, pos, q);
+        },
+        [](const TokenResult &) {});
+    for (int p = 0; p < donor.prompt_len; p++)
+        eng.feed(p, donor.prompt_len);
+    eng.drain(nullptr);
+    std::vector<std::shared_ptr<const KvPage>> pages;
+    eng.sharePrefixPages(0, pages);
+    eng.sharePrefixPages(1, pages);
+    return index.publish(donor_work.prefixPageChain(page_tokens), pages);
+}
+
 TEST(ConcurrencyStress, PipelinedSessionsShareOnePrefixIndexAndPool)
 {
-    // The serving hot path under maximal sharing: several pipelined
+    // The serving hot path under maximal sharing: several layer-major
     // ModelEngines, each on its own thread, adopt the SAME published
     // prefix pages from ONE PrefixIndex (concurrent acquire/release
-    // on its mutex) and drain their layer pipelines on ONE ThreadPool
+    // on its mutex) and drain their engine steps on ONE ThreadPool
     // (concurrent parallelFor from many external threads). Every
     // session's token stream must be bit-identical to its private
     // serial reference — shared pages share even their cached
@@ -495,40 +538,7 @@ TEST(ConcurrencyStress, PipelinedSessionsShareOnePrefixIndexAndPool)
     PrefixIndexOptions pio;
     pio.streams = base.layers * base.kv_heads;
     PrefixIndex index(pio);
-    {
-        ModelSpec donor = base;
-        donor.seed = 4000;
-        ModelWorkload donor_work(donor);
-        ModelEngineConfig mc;
-        mc.layers = donor.layers;
-        mc.pipeline = false;
-        mc.layer.heads = donor.heads;
-        mc.layer.kv_heads = donor.kv_heads;
-        mc.layer.head_dim = donor.head_dim;
-        mc.layer.bits = donor.bits;
-        mc.layer.page_tokens = page_tokens;
-        const auto streams = static_cast<std::size_t>(pio.streams);
-        const std::vector<float> vs(streams, donor_work.vScale());
-        const std::vector<float> ls(streams,
-                                    donor_work.logitScale());
-        ModelEngine eng(
-            mc, vs, ls,
-            [&donor_work](int layer, int pos, MatrixI8 &k,
-                          MatrixI8 &v, MatrixI8 &q) {
-                donor_work.stageKv(layer, pos, k, v);
-                donor_work.stageQueries(layer, pos, q);
-            },
-            [](const TokenResult &) {});
-        for (int p = 0; p < donor.prompt_len; p++)
-            eng.feed(p, donor.prompt_len);
-        eng.drain(nullptr);
-        std::vector<std::shared_ptr<const KvPage>> pages;
-        eng.sharePrefixPages(0, pages);
-        eng.sharePrefixPages(1, pages);
-        const std::vector<uint64_t> chain =
-            donor_work.prefixPageChain(page_tokens);
-        ASSERT_EQ(index.publish(chain, pages), 2);
-    }
+    ASSERT_EQ(publishDonorPrefix(base, page_tokens, index), 2);
 
     // Private serial references, one per session seed.
     std::vector<ModelSpec> specs;
@@ -578,6 +588,153 @@ TEST(ConcurrencyStress, PipelinedSessionsShareOnePrefixIndexAndPool)
                   ModelWorkload(specs[0]).prefixPageChain(
                       page_tokens)),
               0);
+}
+
+/**
+ * Layer-major score units of SEVERAL sessions reading the same
+ * prefix-shared KvPage inside one wave: every session adopts the two
+ * published pages, feeds its private prompt suffix as one chunk, and
+ * all sessions' units run through one parallelFor per wave — the
+ * co-scheduled batcher's wave loop. Shared pages are immutable, so
+ * this is read-only sharing; TSan watches it, and every session must
+ * retire the tokens of its private serial reference.
+ */
+TEST(ConcurrencyStress, ScoreUnitsShareOnePrefixPageWithinAWave)
+{
+    const int page_tokens = 8;
+    const int sessions = 5;
+    ModelSpec base;
+    base.layers = 2;
+    base.heads = 4;
+    base.kv_heads = 2;
+    base.head_dim = 32;
+    base.bits = 8;
+    base.prompt_len = 40;
+    base.decode_steps = 3;
+    base.prefix_len = 16; // exactly 2 shared pages
+    base.prefix_seed = 0x5eed5eedu;
+
+    PrefixIndexOptions pio;
+    pio.streams = base.layers * base.kv_heads;
+    PrefixIndex index(pio);
+    ASSERT_EQ(publishDonorPrefix(base, page_tokens, index), 2);
+
+    struct Session
+    {
+        explicit Session(const ModelSpec &spec) : work(spec) {}
+        ModelWorkload work;
+        std::optional<ModelEngine> engine;
+        std::vector<uint64_t> mixes;
+    };
+    std::vector<std::unique_ptr<Session>> fleet;
+    std::vector<std::vector<uint64_t>> refs;
+    const auto streams = static_cast<std::size_t>(pio.streams);
+    for (int s = 0; s < sessions; s++) {
+        ModelSpec spec = base;
+        spec.seed = 6000 + static_cast<uint64_t>(s);
+        refs.push_back(runModelSession(spec, page_tokens, false,
+                                       nullptr, nullptr));
+        auto ses = std::make_unique<Session>(spec);
+        Session *self = ses.get();
+        ModelEngineConfig mc;
+        mc.layers = spec.layers;
+        mc.layer.heads = spec.heads;
+        mc.layer.kv_heads = spec.kv_heads;
+        mc.layer.head_dim = spec.head_dim;
+        mc.layer.bits = spec.bits;
+        mc.layer.page_tokens = page_tokens;
+        const std::vector<float> vs(streams, self->work.vScale());
+        const std::vector<float> ls(streams, self->work.logitScale());
+        ses->engine.emplace(
+            mc, vs, ls,
+            [self](int layer, int pos, MatrixI8 &k, MatrixI8 &v,
+                   MatrixI8 &q) {
+                self->work.stageKv(layer, pos, k, v);
+                self->work.stageQueries(layer, pos, q);
+            },
+            [self](const TokenResult &tr) {
+                uint64_t mix = 0;
+                for (const MatrixF &out : tr.outs)
+                    for (int r = 0; r < out.rows(); r++)
+                        for (float v : out.row(r))
+                            mix = mixWord(mix,
+                                          std::bit_cast<uint32_t>(v));
+                self->mixes.push_back(mix);
+            });
+        const PrefixMatch match =
+            index.acquire(self->work.prefixPageChain(page_tokens));
+        ASSERT_EQ(match.pages, 2);
+        for (int d = 0; d < match.pages; d++)
+            ses->engine->adoptPrefixPages(
+                std::span<const std::shared_ptr<const KvPage>>(
+                    match.shared)
+                    .subspan(static_cast<std::size_t>(d) * streams,
+                             streams));
+        fleet.push_back(std::move(ses));
+    }
+
+    // Waves over the whole fleet until every engine drains.
+    ThreadPool pool(4);
+    struct UnitRef
+    {
+        ModelEngine *engine;
+        int unit;
+    };
+    int widest = 0;
+    const auto runWaves = [&] {
+        std::vector<UnitRef> units;
+        std::vector<ModelEngine *> open;
+        for (;;) {
+            units.clear();
+            open.clear();
+            for (auto &ses : fleet) {
+                const int n = ses->engine->collectUnits();
+                if (n == 0)
+                    continue;
+                open.push_back(&*ses->engine);
+                for (int u = 0; u < n; u++)
+                    units.push_back(UnitRef{&*ses->engine, u});
+            }
+            if (units.empty())
+                return;
+            widest = std::max(widest, static_cast<int>(units.size()));
+            parallelFor(pool, static_cast<int>(units.size()),
+                        [&](int i) {
+                            const UnitRef &u =
+                                units[static_cast<std::size_t>(i)];
+                            u.engine->runCollectedUnit(u.unit);
+                        });
+            for (ModelEngine *e : open)
+                e->completeRound();
+        }
+    };
+    for (auto &ses : fleet)
+        for (int p = base.prefix_len; p < base.prompt_len; p++)
+            ses->engine->feed(p, base.prompt_len);
+    runWaves();
+    for (int t = 0; t < base.decode_steps; t++) {
+        for (auto &ses : fleet)
+            ses->engine->feed(base.prompt_len + t, base.prompt_len);
+        runWaves();
+    }
+    // Score waves held every session's KV-head x tile units at once.
+    EXPECT_GE(widest, sessions * base.kv_heads * 2);
+
+    for (int s = 0; s < sessions; s++) {
+        const auto &ref = refs[static_cast<std::size_t>(s)];
+        const auto &got = fleet[static_cast<std::size_t>(s)]->mixes;
+        ASSERT_EQ(ref.size(),
+                  got.size() + static_cast<std::size_t>(base.prefix_len))
+            << "session " << s;
+        for (std::size_t i = 0; i < got.size(); i++)
+            EXPECT_EQ(got[i],
+                      ref[i + static_cast<std::size_t>(base.prefix_len)])
+                << "session " << s << " token " << i;
+        index.release(
+            fleet[static_cast<std::size_t>(s)]->work.prefixPageChain(
+                page_tokens),
+            2);
+    }
 }
 
 } // namespace

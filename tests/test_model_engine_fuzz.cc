@@ -1,14 +1,15 @@
 /**
  * @file
- * Differential fuzz harness for the pipelined ModelEngine and the
+ * Differential fuzz harness for the layer-major ModelEngine and the
  * cross-session prefix cache.
  *
  * Oracle convention (docs/TESTING.md): every randomized trial runs
  * the same token stream through the serial layer-by-layer reference
- * schedule (pipeline = false, no pool) and through the systolic
- * pipeline at several thread counts, then asserts the retired-token
- * outputs, the per-token scan accounting, and the engine-wide
- * PruneStats are *bit-identical* — not approximately equal. A second
+ * schedule (pipeline = false, no pool) and through the layer-major
+ * chunk schedule at several thread counts, then asserts the
+ * retired-token outputs, the per-token scan accounting, and the
+ * engine-wide and per-KV-head PruneStats are *bit-identical* — not
+ * approximately equal. A second
  * family of trials shares a prompt prefix between two sessions
  * through a PrefixIndex and asserts the adopter's decode stream is
  * bit-identical to the same session run fully privately.
@@ -69,6 +70,9 @@ struct RunResult
 {
     std::vector<TokenRecord> tokens;
     PruneStats stats;
+    /** LayerEngine::engine(kv).stats() per (layer, KV head),
+     *  row-major by layer. */
+    std::vector<PruneStats> head_stats;
 };
 
 /** The randomized shape of one fuzz trial. */
@@ -209,7 +213,57 @@ runModel(const TrialConfig &t, bool pipeline, int threads,
     }
     EXPECT_EQ(engine.pending(), 0);
     result.stats = engine.stats();
+    for (int l = 0; l < t.spec.layers; l++)
+        for (int kv = 0; kv < t.spec.kv_heads; kv++)
+            result.head_stats.push_back(
+                engine.layer(l).engine(kv).stats());
     return result;
+}
+
+/** Uniform chunk split: @p chunk-sized prompt chunks. */
+std::vector<int>
+uniformChunks(int prompt_len, int chunk)
+{
+    std::vector<int> chunks;
+    for (int left = prompt_len; left > 0; left -= chunk)
+        chunks.push_back(std::min(chunk, left));
+    return chunks;
+}
+
+/**
+ * A donor engine that has prefilled @p donor's whole prompt, so its
+ * prefix pages can be shared (runModel's adopt_from).
+ */
+std::unique_ptr<ModelEngine>
+runDonor(const TrialConfig &donor)
+{
+    auto work = std::make_shared<ModelWorkload>(donor.spec);
+    const auto streams = static_cast<std::size_t>(donor.spec.layers) *
+        static_cast<std::size_t>(donor.spec.kv_heads);
+    const std::vector<float> v_scales(streams, work->vScale());
+    const std::vector<float> logit_scales(streams, work->logitScale());
+    auto engine = std::make_unique<ModelEngine>(
+        engineConfig(donor, /*pipeline=*/true), v_scales, logit_scales,
+        [work](int layer, int pos, MatrixI8 &k, MatrixI8 &v,
+               MatrixI8 &q) {
+            work->stageKv(layer, pos, k, v);
+            work->stageQueries(layer, pos, q);
+        },
+        [](const TokenResult &) {});
+    for (int pos = 0; pos < donor.spec.prompt_len; pos++)
+        engine->feed(pos, donor.spec.prompt_len);
+    engine->drain(nullptr);
+    return engine;
+}
+
+/** The donor of trial @p t: same prefix identity, its own suffix. */
+TrialConfig
+donorOf(const TrialConfig &t)
+{
+    TrialConfig donor = t;
+    uint64_t state = t.spec.seed;
+    donor.spec.seed = splitMix64(state) ^ 0xd0;
+    return donor;
 }
 
 void
@@ -240,6 +294,12 @@ expectRunsIdentical(const RunResult &oracle, const RunResult &got,
             << what << " token " << i << " accounting";
     }
     expectStatsEqual(oracle.stats, got.stats);
+    ASSERT_EQ(oracle.head_stats.size(), got.head_stats.size()) << what;
+    for (std::size_t i = 0; i < oracle.head_stats.size(); i++) {
+        SCOPED_TRACE(::testing::Message()
+                     << what << " (layer, KV head) stream " << i);
+        expectStatsEqual(oracle.head_stats[i], got.head_stats[i]);
+    }
 }
 
 /** Draw one random trial shape from the reproducer seed. */
@@ -263,7 +323,7 @@ drawTrial(uint64_t seed, bool with_prefix)
     t.spec.decode_steps = static_cast<int>(rng.range(0, 6));
     t.spec.seed = splitMix64(seed);
     t.kernel = static_cast<QkKernel>(rng.below(3));
-    // Retention exercises middle-page reclamation under the pipeline;
+    // Retention exercises middle-page reclamation under the schedule;
     // keep it off prefix trials' donors so every prefix page stays
     // resident for publication.
     if (!with_prefix && rng.bernoulli(0.25)) {
@@ -304,7 +364,7 @@ drawTrial(uint64_t seed, bool with_prefix)
 
 /**
  * The tentpole invariant: for ~200 random configurations, the
- * pipelined schedule retires bit-identical tokens, accounting, and
+ * layer-major schedule retires bit-identical tokens, accounting, and
  * PruneStats as the serial oracle, at 1, 2, and 8 threads, and under
  * a different prefill chunking.
  */
@@ -355,31 +415,13 @@ TEST(ModelEngineFuzz, AdoptedPrefixMatchesPrivateDecode)
 
         // Donor session: same prefix identity, its own suffix. Runs
         // fully, donating its prefix pages.
-        TrialConfig donor = t;
-        donor.spec.seed = splitMix64(t.spec.seed) ^ 0xd0;
-        ModelWorkload donor_work(donor.spec);
-        const auto streams =
-            static_cast<std::size_t>(t.spec.layers) *
-            static_cast<std::size_t>(t.spec.kv_heads);
-        const std::vector<float> v_scales(streams,
-                                          donor_work.vScale());
-        const std::vector<float> logit_scales(
-            streams, donor_work.logitScale());
-        ModelEngine donor_engine(
-            engineConfig(donor, /*pipeline=*/true), v_scales,
-            logit_scales,
-            [&donor_work](int layer, int pos, MatrixI8 &k, MatrixI8 &v,
-                          MatrixI8 &q) {
-                donor_work.stageKv(layer, pos, k, v);
-                donor_work.stageQueries(layer, pos, q);
-            },
-            [](const TokenResult &) {});
-        for (int pos = 0; pos < donor.spec.prompt_len; pos++)
-            donor_engine.feed(pos, donor.spec.prompt_len);
-        donor_engine.drain(nullptr);
+        const TrialConfig donor = donorOf(t);
+        const std::unique_ptr<ModelEngine> donor_engine =
+            runDonor(donor);
 
         // Prefix chains agree between donor and adopter by content.
-        EXPECT_EQ(donor_work.prefixPageChain(t.page_tokens),
+        EXPECT_EQ(ModelWorkload(donor.spec).prefixPageChain(
+                      t.page_tokens),
                   ModelWorkload(t.spec).prefixPageChain(
                       t.page_tokens));
 
@@ -388,7 +430,7 @@ TEST(ModelEngineFuzz, AdoptedPrefixMatchesPrivateDecode)
         for (int threads : {1, 2, 8}) {
             const RunResult adopted =
                 runModel(t, /*pipeline=*/true, threads, t.chunks,
-                         &donor_engine, shared_pages);
+                         donor_engine.get(), shared_pages);
             // Adopted prefix positions are never scored, so compare
             // the streams from the first post-prefix token on.
             const int skipped = shared_pages * t.page_tokens;
@@ -542,6 +584,197 @@ TEST(ModelEngineFuzz, WindowedRunStableAcrossKernelsChunksThreads)
             expectRunsIdentical(oracle, crossed, "windowed-kernel");
         }
     }
+}
+
+/** A layer-major leg's trial: kv_heads from {1, 2, 4}, prompts long
+ *  enough for the widest chunk, retention on every other trial. */
+TrialConfig
+drawLayerMajorTrial(uint64_t seed, int i, bool with_prefix)
+{
+    TrialConfig t = drawTrial(seed, with_prefix);
+    const int kv_choices[] = {1, 2, 4};
+    t.spec.kv_heads = kv_choices[i % 3];
+    t.spec.heads = t.spec.kv_heads * (1 + (i / 3) % 2);
+    t.spec.prompt_len = std::max(t.spec.prompt_len, 70 + 11 * (i % 5));
+    if (with_prefix && t.spec.decode_steps == 0)
+        t.spec.decode_steps = 2;
+    if (!with_prefix && i % 2 == 1) {
+        t.retention.sink_tokens = t.page_tokens;
+        t.retention.recency_tokens = 2 * t.page_tokens;
+        t.spec.decode_steps = std::max(t.spec.decode_steps, 3);
+    } else {
+        t.retention = RetentionPolicy{};
+    }
+    return t;
+}
+
+constexpr int kLayerMajorChunks[] = {1, 7, 16, 64, 100};
+
+/**
+ * Layer-major chunk steps against the serial oracle: for chunk sizes
+ * {1, 7, 16, 64, 100}, kv_heads {1, 2, 4}, retention on and off, and
+ * threads {1, 2, 8}, outputs, per-position LayerSteps, ModelEngine
+ * stats and every KV head's engine stats are bit-identical.
+ */
+TEST(ModelEngineFuzz, LayerMajorChunksMatchSerialOracle)
+{
+    constexpr uint64_t kBase = 0x1a7e5a11ULL;
+    constexpr int kTrials = 12;
+    for (int i = 0; i < kTrials; i++) {
+        uint64_t state = kBase + static_cast<uint64_t>(i);
+        const uint64_t seed = splitMix64(state);
+        const TrialConfig t =
+            drawLayerMajorTrial(seed, i, /*with_prefix=*/false);
+        SCOPED_TRACE(t.describe(seed));
+
+        const std::vector<int> ones = uniformChunks(t.spec.prompt_len, 1);
+        const RunResult oracle =
+            runModel(t, /*pipeline=*/false, /*threads=*/1, ones);
+        for (int chunk : kLayerMajorChunks) {
+            const std::vector<int> chunks =
+                uniformChunks(t.spec.prompt_len, chunk);
+            for (int threads : {1, 2, 8}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "chunk=" << chunk
+                             << " threads=" << threads);
+                expectRunsIdentical(
+                    oracle,
+                    runModel(t, /*pipeline=*/true, threads, chunks),
+                    "layer-major");
+            }
+        }
+    }
+}
+
+/**
+ * The same legs starting after an adopted prefix: the serial oracle
+ * and the layer-major schedule both adopt the donor's published pages
+ * and must agree on everything they score afterwards.
+ */
+TEST(ModelEngineFuzz, LayerMajorAfterAdoptedPrefixMatchesSerialOracle)
+{
+    constexpr uint64_t kBase = 0xad0b7ed1ULL;
+    constexpr int kTrials = 6;
+    for (int i = 0; i < kTrials; i++) {
+        uint64_t state = kBase + static_cast<uint64_t>(i);
+        const uint64_t seed = splitMix64(state);
+        const TrialConfig t =
+            drawLayerMajorTrial(seed, i, /*with_prefix=*/true);
+        SCOPED_TRACE(t.describe(seed));
+        const int pages = t.spec.prefix_len / t.page_tokens;
+        ASSERT_GE(pages, 1);
+        const std::unique_ptr<ModelEngine> donor =
+            runDonor(donorOf(t));
+
+        const int suffix = t.spec.prompt_len - pages * t.page_tokens;
+        const RunResult oracle =
+            runModel(t, /*pipeline=*/false, /*threads=*/1,
+                     uniformChunks(suffix, 1), donor.get(), pages);
+        for (int chunk : kLayerMajorChunks)
+            for (int threads : {1, 2, 8}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "chunk=" << chunk
+                             << " threads=" << threads);
+                expectRunsIdentical(
+                    oracle,
+                    runModel(t, /*pipeline=*/true, threads,
+                             uniformChunks(suffix, chunk), donor.get(),
+                             pages),
+                    "layer-major adopted");
+            }
+    }
+}
+
+/**
+ * Decode positions fed together still run one position per layer
+ * step: the step sequence is (stage, score) per layer for the prompt
+ * chunk, then one single-unit step per layer for each decode position
+ * in turn, and token t retires before token t+1 is staged anywhere.
+ */
+TEST(ModelEngineFuzz, DecodePositionsFedTogetherRunOnePerLayerStep)
+{
+    TrialConfig t;
+    t.spec.layers = 3;
+    t.spec.heads = 4;
+    t.spec.kv_heads = 2;
+    t.spec.head_dim = 24;
+    t.spec.prompt_len = 37;
+    t.spec.decode_steps = 5;
+    t.spec.seed = 77;
+    ModelWorkload work(t.spec);
+    const auto streams = static_cast<std::size_t>(t.spec.layers) *
+        static_cast<std::size_t>(t.spec.kv_heads);
+    const std::vector<float> v_scales(streams, work.vScale());
+    const std::vector<float> logit_scales(streams, work.logitScale());
+
+    // Event log: +pos for a staged (layer 0) decode position, -pos
+    // for a retired one.
+    std::vector<int> events;
+    RunResult got;
+    ModelEngine engine(
+        engineConfig(t, /*pipeline=*/true), v_scales, logit_scales,
+        [&](int layer, int pos, MatrixI8 &k, MatrixI8 &v, MatrixI8 &q) {
+            work.stageKv(layer, pos, k, v);
+            work.stageQueries(layer, pos, q);
+            if (layer == 0 && pos >= t.spec.prompt_len)
+                events.push_back(pos);
+        },
+        [&](const TokenResult &tr) {
+            TokenRecord rec;
+            rec.pos = tr.pos;
+            for (const MatrixF &out : tr.outs)
+                rec.out_mix = mixMatrix(rec.out_mix, out);
+            for (const LayerStep &st : tr.steps) {
+                rec.step_mix = mixChecksum(
+                    rec.step_mix, static_cast<uint32_t>(st.keys));
+                rec.step_mix = mixChecksum(
+                    rec.step_mix, static_cast<uint32_t>(st.retained));
+                rec.step_mix = mixChecksum(
+                    rec.step_mix, static_cast<uint32_t>(st.planes));
+            }
+            got.tokens.push_back(rec);
+            if (tr.pos >= t.spec.prompt_len)
+                events.push_back(-tr.pos);
+        });
+    for (int pos = 0; pos < t.spec.positions(); pos++)
+        engine.feed(pos, t.spec.prompt_len);
+
+    std::vector<int> widths;
+    for (;;) {
+        const int n = engine.collectUnits();
+        if (n == 0)
+            break;
+        widths.push_back(n);
+        for (int u = n - 1; u >= 0; u--) // any order is legal
+            engine.runCollectedUnit(u);
+        engine.completeRound();
+    }
+    got.stats = engine.stats();
+    for (int l = 0; l < t.spec.layers; l++)
+        for (int kv = 0; kv < t.spec.kv_heads; kv++)
+            got.head_stats.push_back(engine.layer(l).engine(kv).stats());
+
+    std::vector<int> want;
+    const int tiles = (t.spec.prompt_len + 15) / 16; // tile_bc 16
+    for (int l = 0; l < t.spec.layers; l++) {
+        want.push_back(1);
+        want.push_back(t.spec.kv_heads * tiles);
+    }
+    for (int d = 0; d < t.spec.decode_steps * t.spec.layers; d++)
+        want.push_back(1);
+    EXPECT_EQ(widths, want);
+
+    std::vector<int> order;
+    for (int d = 0; d < t.spec.decode_steps; d++) {
+        order.push_back(t.spec.prompt_len + d);
+        order.push_back(-(t.spec.prompt_len + d));
+    }
+    EXPECT_EQ(events, order);
+
+    const RunResult oracle = runModel(
+        t, /*pipeline=*/false, /*threads=*/1,
+        uniformChunks(t.spec.prompt_len, 1));
+    expectRunsIdentical(oracle, got, "fed-together decode");
 }
 
 } // namespace
